@@ -34,11 +34,14 @@ HOT_PATHS: dict[str, frozenset[str]] = {
         "solve_schweitzer_batch",
         "initial_queue",
     }),
+    "repro.model.locking": frozenset({
+        "seq_sum_last",
+    }),
     "repro.model.outer": frozenset({
-        "_seq_sum_last",
         "_BatchEngine._rebuild",
         "_BatchEngine._solve_mva",
         "_BatchEngine._absorb",
+        "_BatchEngine._partner_mean",
         "_BatchEngine._update_abort",
         "_BatchEngine._update_lock",
         "_BatchEngine._update_remote",
@@ -441,7 +444,6 @@ class ExactFloatComparison(Rule):
                 or module.startswith("repro.planner.")
                 or module in (
                     "repro.model.outer", "repro.model.solver",
-                    "repro.model.solver_reference",
                     "repro.model.open_solver", "repro.model.locking",
                     "repro.model.demands", "repro.model.remote",
                     "repro.model.phases"))

@@ -10,8 +10,8 @@ from repro.model.demands import (ChainDemands, PhaseCosts,
                                  lock_count, mean_submissions)
 from repro.model.locking import (LockModelState, average_locks_held,
                                  blocker_distribution, blocking_probability,
-                                 blocking_ratio,
-                                 deadlock_victim_probability,
+                                 blocking_ratio, conflict_matrix,
+                                 deadlock_victim_probability, holder_mass,
                                  lock_wait_probability, lock_wait_time,
                                  locks_at_abort)
 from repro.model.open_solver import (OpenChainResult, OpenSolution,
@@ -21,7 +21,8 @@ from repro.model.parameters import (BasicPhaseCosts, ProtocolCosts,
                                     paper_table2)
 from repro.model.phases import (ConflictProbabilities,
                                 expected_visits_no_conflict,
-                                transition_matrix, visit_counts)
+                                transition_matrix, visit_array,
+                                visit_counts)
 from repro.model.results import ChainResult, ModelSolution, SiteResult
 from repro.model.solver import CaratModel, ModelConfig, solve_model
 from repro.model.types import BaseType, ChainType, Phase
@@ -33,12 +34,13 @@ __all__ = [
     "WorkloadSpec", "lb8", "mb4", "mb8", "ub6", "STANDARD_WORKLOADS",
     "BasicPhaseCosts", "ProtocolCosts", "SiteParameters",
     "paper_table2", "paper_sites",
-    "ConflictProbabilities", "transition_matrix", "visit_counts",
-    "expected_visits_no_conflict",
+    "ConflictProbabilities", "transition_matrix", "visit_array",
+    "visit_counts", "expected_visits_no_conflict",
     "PhaseCosts", "ChainDemands", "build_phase_costs", "ios_per_request",
     "lock_count", "abort_probability", "mean_submissions",
     "aggregate_demands",
     "LockModelState", "locks_at_abort", "average_locks_held",
+    "conflict_matrix", "holder_mass",
     "blocking_probability", "lock_wait_probability",
     "blocker_distribution", "deadlock_victim_probability",
     "blocking_ratio", "lock_wait_time",

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from repro.errors import ConvergenceError
 from repro.model.parameters import ProtocolCosts, paper_sites
@@ -86,6 +85,8 @@ def calibrate_protocol(
         When the optimizer cannot improve on a clearly bad fit
         (objective above 1.0, i.e. >100% RMS relative error).
     """
+    from scipy import optimize  # deferred: slow to import
+
     initial = initial or ProtocolCosts()
     x0 = np.array([initial.tbegin_cpu, initial.dbopen_cpu_per_site,
                    initial.commit_cpu])

@@ -27,7 +27,8 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.model.types import ChainType, Phase, PHASE_ORDER
 
-__all__ = ["ConflictProbabilities", "transition_matrix", "visit_counts",
+__all__ = ["ConflictProbabilities", "transition_matrix", "visit_array",
+           "visit_counts",
            "expected_visits_no_conflict"]
 
 _INDEX = {phase: i for i, phase in enumerate(PHASE_ORDER)}
@@ -161,30 +162,38 @@ def transition_matrix(
     return p
 
 
-def visit_counts(matrix: np.ndarray) -> dict[Phase, float]:
+def visit_array(matrix: np.ndarray) -> np.ndarray:
     """Visit counts per transaction cycle (paper Eq. 1), ``V_UT = 1``.
 
     Solves the traffic equations ``V = V P`` with the UT visit count
-    pinned to one, i.e. visits are "per submission cycle".
+    pinned to one, i.e. visits are "per submission cycle".  ``matrix``
+    is a ``(..., P, P)`` stack of phase matrices over
+    :data:`~repro.model.types.PHASE_ORDER`; the result is the matching
+    ``(..., P)`` stack of visit vectors.
     """
     size = len(PHASE_ORDER)
-    if matrix.shape != (size, size):
+    if matrix.shape[-2:] != (size, size):
         raise ConfigurationError(
             f"expected a {size}x{size} phase matrix, got {matrix.shape}"
         )
     # (I - P)^T V = 0 with the UT row replaced by the normalization.
-    a = (np.eye(size) - matrix).T
-    b = np.zeros(size)
+    a = np.ascontiguousarray(np.swapaxes(np.eye(size) - matrix, -1, -2))
     ut = _INDEX[Phase.UT]
-    a[ut, :] = 0.0
-    a[ut, ut] = 1.0
-    b[ut] = 1.0
-    v = np.linalg.solve(a, b)
+    a[..., ut, :] = 0.0
+    a[..., ut, ut] = 1.0
+    b = np.zeros(matrix.shape[:-1] + (1,))
+    b[..., ut, 0] = 1.0
+    v = np.linalg.solve(a, b)[..., 0]
     if np.any(v < -1e-9):
         raise ConfigurationError("negative visit count; matrix is not a "
                                  "valid phase chain")
-    return {phase: max(0.0, float(v[_INDEX[phase]]))
-            for phase in PHASE_ORDER}
+    return np.maximum(0.0, v)
+
+
+def visit_counts(matrix: np.ndarray) -> dict[Phase, float]:
+    """:func:`visit_array` of one phase matrix, keyed by phase."""
+    v = visit_array(matrix)
+    return {phase: float(v[_INDEX[phase]]) for phase in PHASE_ORDER}
 
 
 def expected_visits_no_conflict(

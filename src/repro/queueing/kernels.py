@@ -25,8 +25,9 @@ The dict-based API (:func:`repro.queueing.mva_exact.solve_mva_exact`,
 :func:`repro.queueing.mva_approx.solve_mva_approx`) is a thin adapter
 over these kernels; :class:`~repro.queueing.network.NetworkSolution`,
 diagnostics and the cache layer are unchanged.  The retired pure-Python
-loops live on in :mod:`repro.queueing.mva_reference` as the oracle the
-kernel equivalence tests compare against (agreement within 1e-10).
+loops live on outside the package, in ``tests/oracles/mva_reference.py``,
+as the oracle the kernel equivalence tests compare against (agreement
+within 1e-10).
 """
 
 from __future__ import annotations

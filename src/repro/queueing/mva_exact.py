@@ -20,7 +20,7 @@ The recursion itself runs in the vectorized NumPy kernel
 with the same total population update in one whole-array step, and the
 lattice traversal order is cached across calls.  This module is the
 dict-based adapter around it; the original pure-Python loop survives as
-:func:`repro.queueing.mva_reference.reference_mva_exact` for the
+``reference_mva_exact`` in ``tests/oracles/mva_reference.py`` for the
 equivalence tests.
 """
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ConfigurationError
 
@@ -88,6 +87,8 @@ def batch_means(
              for i in range(batches)]
     grand = float(np.mean(means))
     sem = float(np.std(means, ddof=1)) / np.sqrt(batches)
+    from scipy import stats  # deferred: scipy.stats is slow to import
+
     t = float(stats.t.ppf(0.5 + confidence / 2.0, df=batches - 1))
     return BatchMeansResult(
         mean=grand,

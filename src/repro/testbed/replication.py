@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ConfigurationError
 from repro.obs.spans import span
@@ -58,6 +57,8 @@ def _estimate(samples: list[float], confidence: float) -> Estimate:
         return Estimate(mean=mean, half_width=float("inf"),
                         replications=n, confidence=confidence)
     sem = float(np.std(samples, ddof=1)) / np.sqrt(n)
+    from scipy import stats  # deferred: scipy.stats is slow to import
+
     t = float(stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
     return Estimate(mean=mean, half_width=t * sem, replications=n,
                     confidence=confidence)

@@ -18,12 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.testbed.locks import LockMode
 
 __all__ = ["AccessRecord", "CommittedTransaction",
-           "SerializabilityReport", "conflict_graph",
+           "SerializabilityReport", "PrecedenceGraph", "conflict_graph",
            "check_serializable"]
 
 
@@ -64,15 +62,67 @@ class SerializabilityReport:
     serial_order: tuple[str, ...] = ()
 
 
+class PrecedenceGraph:
+    """A directed graph over transaction ids.  ``nodes`` and ``edges``
+    list node ids and ``(source, target)`` pairs in insertion order,
+    like their networkx namesakes."""
+
+    def __init__(self) -> None:
+        self.successors: dict[str, dict[str, None]] = {}
+
+    def add_node(self, node: str) -> None:
+        self.successors.setdefault(node, {})
+
+    def add_edge(self, source: str, target: str) -> None:
+        self.add_node(target)
+        self.successors.setdefault(source, {})[target] = None
+
+    @property
+    def nodes(self) -> list[str]:
+        return list(self.successors)
+
+    @property
+    def edges(self) -> list[tuple[str, str]]:
+        return [(u, v) for u, targets in self.successors.items()
+                for v in targets]
+
+
+def _order_or_cycle(graph: PrecedenceGraph
+                    ) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """``(topological order, ())``, or ``((), cycle)`` with the nodes of
+    the first directed cycle met, by iterative depth-first search."""
+    state: dict[str, bool] = {}     # True while on the search path
+    postorder: list[str] = []
+    for root in graph.successors:
+        if root in state:
+            continue
+        path, stack = [root], [iter(graph.successors[root])]
+        state[root] = True
+        while stack:
+            nxt = next(stack[-1], None)
+            if nxt is None:
+                stack.pop()
+                node = path.pop()
+                state[node] = False
+                postorder.append(node)
+            elif state.get(nxt):
+                return (), tuple(path[path.index(nxt):])
+            elif nxt not in state:
+                path.append(nxt)
+                state[nxt] = True
+                stack.append(iter(graph.successors[nxt]))
+    return tuple(reversed(postorder)), ()
+
+
 def conflict_graph(
-        history: list[CommittedTransaction]) -> nx.DiGraph:
+        history: list[CommittedTransaction]) -> PrecedenceGraph:
     """Precedence graph over a committed history.
 
     Edges point from the transaction whose conflicting access came
     first to the one whose access came later, which under 2PL is also
     the lock-release order.
     """
-    graph = nx.DiGraph()
+    graph = PrecedenceGraph()
     for txn in history:
         graph.add_node(txn.txn_id)
     # Bucket accesses per item so the pairwise scan stays local.
@@ -96,20 +146,11 @@ def check_serializable(
         history: list[CommittedTransaction]) -> SerializabilityReport:
     """Check a committed history for conflict-serializability."""
     graph = conflict_graph(history)
-    try:
-        order = tuple(nx.topological_sort(graph))
-        return SerializabilityReport(
-            serializable=True,
-            transactions=graph.number_of_nodes(),
-            conflict_edges=graph.number_of_edges(),
-            serial_order=order,
-        )
-    except nx.NetworkXUnfeasible:
-        cycle_edges = nx.find_cycle(graph)
-        cycle = tuple(edge[0] for edge in cycle_edges)
-        return SerializabilityReport(
-            serializable=False,
-            transactions=graph.number_of_nodes(),
-            conflict_edges=graph.number_of_edges(),
-            cycle=cycle,
-        )
+    order, cycle = _order_or_cycle(graph)
+    return SerializabilityReport(
+        serializable=not cycle,
+        transactions=len(graph.nodes),
+        conflict_edges=len(graph.edges),
+        cycle=cycle,
+        serial_order=order,
+    )

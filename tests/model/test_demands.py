@@ -7,7 +7,7 @@ from repro.model.demands import (abort_probability, aggregate_demands,
                                  build_phase_costs, ios_per_request,
                                  lock_count, mean_submissions)
 from repro.model.phases import (ConflictProbabilities, transition_matrix,
-                                visit_counts)
+                                visit_array, visit_counts)
 from repro.model.types import ChainType, Phase
 from repro.model.workload import mb8
 
@@ -50,20 +50,20 @@ class TestLockCount:
 
 class TestAbortProbability:
     def test_eq3_local(self):
-        pa = abort_probability(ChainType.LU, locks=10, blocking=0.1,
+        pa = abort_probability(locks=10, blocking=0.1,
                                deadlock_victim=0.2)
         assert pa == pytest.approx(1 - (1 - 0.02) ** 10)
 
     def test_eq3_coordinator_includes_remote_hazard(self):
-        base = abort_probability(ChainType.DUC, 10, 0.1, 0.2)
-        with_remote = abort_probability(ChainType.DUC, 10, 0.1, 0.2,
+        base = abort_probability(10, 0.1, 0.2)
+        with_remote = abort_probability(10, 0.1, 0.2,
                                         remote_abort=0.05,
                                         remote_requests=4)
         assert with_remote == pytest.approx(
             1 - (1 - base) * (1 - 0.05) ** 4)
 
     def test_zero_conflict_never_aborts(self):
-        assert abort_probability(ChainType.LRO, 20, 0.0, 0.0) == 0.0
+        assert abort_probability(20, 0.0, 0.0) == 0.0
 
     def test_eq4_mean_submissions(self):
         assert mean_submissions(0.0) == 1.0
@@ -143,7 +143,7 @@ class TestAggregateDemands:
         matrix = transition_matrix(chain, 8, 0, q)
         visits = visit_counts(matrix)
         costs = build_phase_costs(site_a, workload, chain)
-        demands = aggregate_demands(chain, visits, 1.0, costs, 32.0)
+        demands = aggregate_demands(visit_array(matrix), 1.0, costs)
         expected_cpu = sum(visits[p] * c for p, c in costs.cpu.items())
         assert demands.cpu_ms == pytest.approx(expected_cpu)
         # 8 requests x ~4 granules x 1 I/O each; no commit I/O.
@@ -152,28 +152,29 @@ class TestAggregateDemands:
     def test_submissions_scale_demands(self, site_a, workload):
         chain = ChainType.LU
         q = ios_per_request(site_a, workload, chain)
-        visits = visit_counts(transition_matrix(chain, 8, 0, q))
+        visits = visit_array(transition_matrix(chain, 8, 0, q))
         costs = build_phase_costs(site_a, workload, chain)
-        once = aggregate_demands(chain, visits, 1.0, costs, 32.0)
-        twice = aggregate_demands(chain, visits, 2.0, costs, 32.0)
+        once = aggregate_demands(visits, 1.0, costs)
+        twice = aggregate_demands(visits, 2.0, costs)
         assert twice.cpu_ms == pytest.approx(2 * once.cpu_ms)
         assert twice.db_ios == pytest.approx(2 * once.db_ios)
 
     def test_rejects_bad_submissions(self, site_a, workload):
         chain = ChainType.LU
         q = ios_per_request(site_a, workload, chain)
-        visits = visit_counts(transition_matrix(chain, 8, 0, q))
+        visits = visit_array(transition_matrix(chain, 8, 0, q))
         costs = build_phase_costs(site_a, workload, chain)
         with pytest.raises(ConfigurationError):
-            aggregate_demands(chain, visits, 0.5, costs, 32.0)
+            aggregate_demands(visits, 0.5, costs)
 
     def test_delay_visit_counters(self, site_a, workload):
         chain = ChainType.DUC
         q = ios_per_request(site_a, workload, chain)
         conflict = ConflictProbabilities(blocking=0.1)
-        visits = visit_counts(transition_matrix(chain, 4, 4, q, conflict))
+        matrix = transition_matrix(chain, 4, 4, q, conflict)
+        visits = visit_counts(matrix)
         costs = build_phase_costs(site_a, workload, chain)
-        demands = aggregate_demands(chain, visits, 1.0, costs, 32.0)
+        demands = aggregate_demands(visit_array(matrix), 1.0, costs)
         assert demands.rw_visits == pytest.approx(visits[Phase.RW])
         assert demands.lw_visits == pytest.approx(visits[Phase.LW])
         assert demands.cw_visits == pytest.approx(

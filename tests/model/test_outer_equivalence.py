@@ -2,7 +2,7 @@
 
 The tensorized outer fixed point (:mod:`repro.model.outer`) is the
 production solve path; the original scalar loop lives on as
-:class:`~repro.model.solver_reference.ReferenceCaratModel`.  These
+:class:`~tests.oracles.solver_reference.ReferenceCaratModel`.  These
 tests pin their equivalence — identical iteration counts and measures
 within 1e-10 — over the paper's workloads, randomized configurations,
 and the degenerate corners (zero locks, a single chain, saturation).
@@ -14,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 from repro.model.parameters import paper_sites
 from repro.model.outer import solve_outer_batch
 from repro.model.solver import CaratModel, ModelConfig
-from repro.model.solver_reference import ReferenceCaratModel
 from repro.model.types import BaseType
 from repro.model.workload import STANDARD_WORKLOADS, WorkloadSpec
+from tests.oracles.solver_reference import ReferenceCaratModel
 
 # Still four orders below the solver tolerance; 1e-10 was marginal —
 # batched einsums and the scalar loop accumulate in different orders,
@@ -144,8 +144,10 @@ class TestDegenerateCorners:
         """No locks anywhere: the contention terms vanish identically
         on both paths."""
         from repro.model import demands as demands_mod
-        monkeypatch.setattr(demands_mod, "lock_count",
-                            lambda workload, chain, q: 0.0)
+        from tests.oracles import demands as oracle_demands
+        for module in (demands_mod, oracle_demands):
+            monkeypatch.setattr(module, "lock_count",
+                                lambda workload, chain, q: 0.0)
         workload = WorkloadSpec(
             "nolocks", {"A": {BaseType.LRO: 2, BaseType.LU: 2}},
             requests_per_txn=4)

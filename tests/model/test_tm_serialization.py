@@ -48,27 +48,15 @@ class TestSaturationClamp:
     with a service time computed from the raw busy time overstated the
     wait near saturation."""
 
-    def test_wait_consistent_at_saturation(self, sites):
-        from repro.model.solver import CaratModel, ModelConfig
-        model = CaratModel(ModelConfig(
-            workload=mb8(4), sites=sites, max_iterations=1000,
-            model_tm_serialization=True, damping=1.0))
-        # Drive node A's TM past saturation: lam = 0.1 msgs/ms with
-        # 20 ms held per cycle -> raw busy time 2.0, clamped to 0.95.
-        for (site, _chain), state in model._state.items():
-            state.throughput_per_ms = 0.0
-            if site == "A":
-                state.tm_messages = 1.0
-                state.tm_held_ms = 20.0
-        first = next(s for (site, _c), s in model._state.items()
-                     if site == "A")
-        first.throughput_per_ms = 0.1
-        model._update_tm_serialization()
+    def test_wait_consistent_at_saturation(self):
+        from repro.model.demands import tm_serialization_wait
+        # Drive a TM past saturation: lam = 0.1 msgs/ms with 20 ms held
+        # per message -> raw busy time 2.0, clamped to 0.95.
+        wait = tm_serialization_wait(message_rate=0.1, busy=0.1 * 20.0)
         # rho = 0.95, service = rho / lam = 9.5 ms:
         # wait = rho * service / (1 - rho) = 180.5 ms (the old
         # inconsistent service busy/lam = 20 ms gave 380 ms).
-        import pytest as _pytest
-        assert first.r_tms == _pytest.approx(180.5, rel=1e-9)
+        assert wait == pytest.approx(180.5, rel=1e-9)
 
     def test_wait_unchanged_below_saturation(self, sites):
         """Below the clamp the fix is a no-op: rho == busy."""

@@ -1,7 +1,7 @@
 """Equivalence and regression tests for the vectorized MVA kernels.
 
 The NumPy kernels (:mod:`repro.queueing.kernels`) must agree with the
-retired pure-Python loops (:mod:`repro.queueing.mva_reference`) within
+retired pure-Python loops (:mod:`tests.oracles.mva_reference`) within
 1e-10 across randomized multi-chain networks — including the awkward
 shapes: zero-population chains, zero-demand centers, pure-delay
 networks — and the batched entry point must match looping the
@@ -23,9 +23,9 @@ from repro.queueing.centers import CenterKind, ServiceCenter
 from repro.queueing.mva_approx import (solve_mva_approx,
                                        solve_mva_approx_batch)
 from repro.queueing.mva_exact import solve_mva_exact
-from repro.queueing.mva_reference import (reference_mva_approx,
-                                          reference_mva_exact)
 from repro.queueing.network import ClosedNetwork
+from tests.oracles.mva_reference import (reference_mva_approx,
+                                         reference_mva_exact)
 
 AGREEMENT = 1e-10
 
