@@ -11,21 +11,44 @@ unchanged inputs skips the simulations entirely.  Set
 ``CARAT_BENCH_JOBS=N`` to fan the sweep points of cache misses out
 across N worker processes (see docs/parallel.md).
 
-Set ``CARAT_BENCH_EMIT=<dir>`` to write one machine-readable
-``BENCH_<test>.json`` per benchmark after the session (wall-time
-stats plus each benchmark's ``extra_info``), feeding the perf
-trajectory alongside the ``repro perf`` suite (docs/diagnostics.md).
+Set ``CARAT_BENCH_EMIT=<dir>`` to write one ``BENCH_<test>.json``
+per benchmark after the session: the same record ``repro perf`` writes
+(:class:`repro.experiments.perf.BenchRecord`), with the wall-time
+stats as metrics and each benchmark's ``extra_info`` as detail
+(docs/diagnostics.md).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
 
 import pytest
 
+from repro.experiments.perf import BenchRecord, write_records
 from repro.model.parameters import paper_sites
+
+
+def bench_record(bench, session_cache) -> BenchRecord:
+    """The record of one pytest-benchmark entry: its wall-time stats
+    as (ungated) metrics; its group, ``extra_info`` and the session's
+    result-cache counts as detail."""
+    # Depending on the pytest-benchmark version the entry exposes the
+    # Stats object directly or wrapped in a Metadata.
+    stats = getattr(bench.stats, "stats", bench.stats)
+    metrics = {
+        "wall_ms_min": stats.min * 1e3,
+        "wall_ms_mean": stats.mean * 1e3,
+        "wall_ms_stddev": stats.stddev * 1e3,
+        "rounds": stats.rounds,
+    }
+    detail = {
+        "group": bench.group,
+        "extra_info": dict(bench.extra_info),
+        "session_cache": session_cache,
+    }
+    name = re.sub(r"[^A-Za-z0-9_.-]+", "_", bench.name).strip("_")
+    return BenchRecord(name, metrics, detail)
 
 
 def pytest_sessionfinish(session, exitstatus):
@@ -34,37 +57,18 @@ def pytest_sessionfinish(session, exitstatus):
     bench_session = getattr(session.config, "_benchmarksession", None)
     if not out_dir or bench_session is None:
         return
-    os.makedirs(out_dir, exist_ok=True)
     from repro.experiments.bench import SESSION_CACHE_STATS
     cache_info = {
         "hits": SESSION_CACHE_STATS.hits,
         "misses": SESSION_CACHE_STATS.misses,
         "hit_rate": SESSION_CACHE_STATS.hit_rate,
     }
-    for bench in bench_session.benchmarks:
-        stats = getattr(bench, "stats", None)
-        if stats is None:  # errored or skipped benchmark
-            continue
-        # Depending on the pytest-benchmark version the entry exposes
-        # the Stats object directly or wrapped in a Metadata.
-        stats = getattr(stats, "stats", stats)
-        record = {
-            "schema": 1,
-            "name": bench.name,
-            "group": bench.group,
-            "wall_ms_min": stats.min * 1e3,
-            "wall_ms_mean": stats.mean * 1e3,
-            "wall_ms_stddev": stats.stddev * 1e3,
-            "rounds": stats.rounds,
-            "session_cache": cache_info,
-            "extra_info": dict(bench.extra_info),
-        }
-        slug = re.sub(r"[^A-Za-z0-9_.-]+", "_", bench.name).strip("_")
-        path = os.path.join(out_dir, f"BENCH_{slug}.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(record, handle, indent=2, sort_keys=True,
-                      default=str)
-            handle.write("\n")
+    write_records(
+        [bench_record(bench, cache_info)
+         for bench in bench_session.benchmarks
+         # An errored or skipped benchmark has no stats.
+         if getattr(bench, "stats", None) is not None],
+        out_dir)
 
 
 @pytest.fixture(scope="session")

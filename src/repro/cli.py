@@ -43,6 +43,8 @@ import sys
 from repro.experiments import (EXPERIMENTS, experiment,
                                render_figure_series, render_per_type_table,
                                render_summary_table)
+from repro.experiments.perf import (add_perf_arguments, run as run_perf,
+                                    run_suite)
 from repro.model.parameters import paper_sites
 from repro.model.solver import solve_model
 from repro.model.workload import STANDARD_WORKLOADS
@@ -174,24 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         "perf",
         help="run the perf-baseline suite and emit/check BENCH_*.json "
              "(docs/diagnostics.md)")
-    perf.add_argument("--output-dir", default=None,
-                      help="directory for the fresh BENCH_*.json files "
-                           "(default: don't write)")
-    perf.add_argument("--baseline-dir", default="benchmarks/baselines",
-                      help="committed baseline to compare against")
-    perf.add_argument("--check", action="store_true",
-                      help="fail (exit 1) on >tolerance regression "
-                           "against the baseline")
-    perf.add_argument("--update-baseline", action="store_true",
-                      help="rewrite the baseline directory with this "
-                           "run's records")
-    perf.add_argument("--tolerance", type=float, default=0.25,
-                      help="allowed relative regression on "
-                           "deterministic counters (default 0.25)")
-    perf.add_argument("--time-tolerance", type=float, default=None,
-                      help="allowed relative wall-time regression "
-                           "(default: same as --tolerance; CI uses a "
-                           "looser value for runner noise)")
+    add_perf_arguments(perf)
 
     export = sub.add_parser(
         "export", help="export one experiment's sweep as CSV")
@@ -470,21 +455,6 @@ def _cmd_diagnose(args) -> int:
                     for p in report["points"]) else 1
 
 
-def _cmd_perf(args) -> int:
-    from repro.experiments.perf import main as perf_main
-    argv = ["--baseline-dir", args.baseline_dir,
-            "--tolerance", str(args.tolerance)]
-    if args.output_dir:
-        argv += ["--output-dir", args.output_dir]
-    if args.check:
-        argv.append("--check")
-    if args.update_baseline:
-        argv.append("--update-baseline")
-    if args.time_tolerance is not None:
-        argv += ["--time-tolerance", str(args.time_tolerance)]
-    return perf_main(argv)
-
-
 def _cmd_report(args) -> int:
     from repro.experiments.emit import main as emit_main
     argv = ["--output", args.output, "--jobs", str(args.jobs)]
@@ -611,7 +581,6 @@ def _run_stats_targets(args) -> None:
         plan(spec, jobs=args.jobs if args.jobs > 0 else None,
              use_cache=args.cached)
     if "perf" in args.targets:
-        from repro.experiments.perf import run_suite
         run_suite(("tab3",))
 
 
@@ -684,7 +653,7 @@ def main(argv: list[str] | None = None) -> int:
         "compare": _cmd_compare,
         "experiment": _cmd_experiment,
         "diagnose": _cmd_diagnose,
-        "perf": _cmd_perf,
+        "perf": run_perf,
         "report": _cmd_report,
         "calibrate": _cmd_calibrate,
         "sensitivity": _cmd_sensitivity,

@@ -55,7 +55,12 @@ from repro.model import demands as demands_mod
 from repro.model import locking, remote
 from repro.model.diagnostics import trace_clock
 from repro.model.locking import seq_sum_last
-from repro.model.phases import NO_CONFLICT, transition_matrix, visit_array
+from repro.model.phases import (
+    NO_CONFLICT,
+    set_conflict_entries,
+    transition_matrix,
+    visit_array,
+)
 from repro.obs import metrics as obs
 from repro.obs.spans import span
 from repro.model.results import ModelSolution
@@ -374,21 +379,14 @@ class _BatchEngine:
 
         ``al`` is the ``(A,)`` vector of alive batch-row indices.
         """
-        pbv = np.minimum(1.0, self.it["pb"][al])
-        pdv = np.minimum(1.0, self.it["pd"][al])
-        prv = np.minimum(1.0, self.it["pra"][al])
         P = self.p0[al].copy()
-        iLR, iLW, iRW, iTM, iTA = (_PI[Phase.LR], _PI[Phase.LW],
-                                   _PI[Phase.RW], _PI[Phase.TM],
-                                   _PI[Phase.TA])
-        iDMIO = _PI[Phase.DMIO]
-        P[:, :, iLR, iDMIO] = 1.0 - pbv
-        P[:, :, iLR, iLW] = pbv
-        P[:, :, iLW, iDMIO] = 1.0 - pdv
-        P[:, :, iLW, iTA] = pdv
-        hr = self.has_rw
-        P[:, hr, iRW, iTM] = 1.0 - prv[:, hr]
-        P[:, hr, iRW, iTA] = prv[:, hr]
+        set_conflict_entries(
+            P,
+            np.minimum(1.0, self.it["pb"][al]),
+            np.minimum(1.0, self.it["pd"][al]),
+            np.minimum(1.0, self.it["pra"][al]),
+            self.has_rw,
+        )
         v = visit_array(P)
 
         # Phase costs: the static per-chain bases plus the rollback
@@ -397,6 +395,7 @@ class _BatchEngine:
         ey = self.it["ey"][al]
         ns = self.it["ns"][al]
         split = self.log_split[al]
+        iDMIO, iTA = _PI[Phase.DMIO], _PI[Phase.TA]
         iTCIO, iTAIO = _PI[Phase.TCIO], _PI[Phase.TAIO]
         cb, db, lg = self.cpu_base[al], self.db_base[al], self.lg_base[al]
         dbio, lgio = self.dbio_base[al], self.lgio_base[al]

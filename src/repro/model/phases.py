@@ -27,8 +27,8 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.model.types import ChainType, Phase, PHASE_ORDER
 
-__all__ = ["ConflictProbabilities", "transition_matrix", "visit_array",
-           "visit_counts",
+__all__ = ["ConflictProbabilities", "transition_matrix",
+           "set_conflict_entries", "visit_array", "visit_counts",
            "expected_visits_no_conflict"]
 
 _INDEX = {phase: i for i, phase in enumerate(PHASE_ORDER)}
@@ -110,10 +110,6 @@ def transition_matrix(
     if loc + r < 1:
         raise ConfigurationError("a transaction issues >= 1 request")
 
-    pb = conflict.blocking
-    pd = conflict.deadlock_victim
-    pra = conflict.remote_abort
-
     p = np.zeros((len(PHASE_ORDER), len(PHASE_ORDER)))
 
     def set_p(src: Phase, dst: Phase, value: float) -> None:
@@ -127,8 +123,6 @@ def transition_matrix(
         set_p(Phase.TM, Phase.DM, loc / c)
         set_p(Phase.TM, Phase.RW, loc / c)
         set_p(Phase.TM, Phase.TC, 1 / c)
-        set_p(Phase.RW, Phase.TM, 1.0 - pra)
-        set_p(Phase.RW, Phase.TA, pra)
     else:
         n = loc + r
         c = 2 * n + 1
@@ -139,19 +133,13 @@ def transition_matrix(
         set_p(Phase.TM, Phase.DM, loc / c)
         if r:
             set_p(Phase.TM, Phase.RW, r / c)
-            set_p(Phase.RW, Phase.TM, 1.0 - pra)
-            set_p(Phase.RW, Phase.TA, pra)
         set_p(Phase.TM, Phase.TC, 1 / c)
 
     # Shared DM / locking / commit structure (identical for every
     # chain that executes local requests).
     set_p(Phase.DM, Phase.TM, 1.0 / (q + 1.0))
     set_p(Phase.DM, Phase.LR, q / (q + 1.0))
-    set_p(Phase.LR, Phase.DMIO, 1.0 - pb)
-    set_p(Phase.LR, Phase.LW, pb)
     set_p(Phase.DMIO, Phase.DM, 1.0)
-    set_p(Phase.LW, Phase.DMIO, 1.0 - pd)
-    set_p(Phase.LW, Phase.TA, pd)
     set_p(Phase.TC, Phase.CWC, 1.0)
     set_p(Phase.TA, Phase.CWA, 1.0)
     set_p(Phase.CWC, Phase.TCIO, 1.0)
@@ -159,7 +147,30 @@ def transition_matrix(
     set_p(Phase.TCIO, Phase.UL, 1.0)
     set_p(Phase.TAIO, Phase.UL, 1.0)
     set_p(Phase.UL, Phase.UT, 1.0)
+    set_conflict_entries(p, conflict.blocking, conflict.deadlock_victim,
+                         conflict.remote_abort,
+                         chain.is_slave or r > 0)
     return p
+
+
+def set_conflict_entries(p, blocking, deadlock_victim, remote_abort,
+                         has_rw) -> None:
+    """Write the Table 1 conflict entries into *p* in place.
+
+    *p* is a ``(..., P, P)`` stack of phase matrices; *blocking*
+    (``Pb``), *deadlock_victim* (``Pd``), *remote_abort* (``Pra``) and
+    the boolean *has_rw* (the chain waits in RW: coordinators and
+    slaves) broadcast against its leading axes.  Chains without RW get
+    an all-zero RW row.
+    """
+    lr, lw, rw = _INDEX[Phase.LR], _INDEX[Phase.LW], _INDEX[Phase.RW]
+    dmio, ta, tm = _INDEX[Phase.DMIO], _INDEX[Phase.TA], _INDEX[Phase.TM]
+    p[..., lr, dmio] = 1.0 - blocking
+    p[..., lr, lw] = blocking
+    p[..., lw, dmio] = 1.0 - deadlock_victim
+    p[..., lw, ta] = deadlock_victim
+    p[..., rw, tm] = np.where(has_rw, 1.0 - remote_abort, 0.0)
+    p[..., rw, ta] = np.where(has_rw, remote_abort, 0.0)
 
 
 def visit_array(matrix: np.ndarray) -> np.ndarray:

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ConfigurationError
 from repro.model.phases import (ConflictProbabilities,
                                 expected_visits_no_conflict,
-                                transition_matrix, visit_counts)
+                                set_conflict_entries, transition_matrix,
+                                visit_counts)
 from repro.model.types import ChainType, PHASE_ORDER, Phase
 
 prob = st.floats(0.0, 0.5, allow_nan=False)
@@ -77,6 +78,31 @@ class TestTransitionMatrix:
         rw = _index(Phase.RW)
         assert m[rw, _index(Phase.TM)] == pytest.approx(0.9)
         assert m[rw, _index(Phase.TA)] == pytest.approx(0.1)
+
+    def test_local_chain_rw_row_stays_zero(self):
+        m = transition_matrix(ChainType.LU, 4, 0, 4.0,
+                              ConflictProbabilities(remote_abort=0.1))
+        assert not m[_index(Phase.RW)].any()
+
+    def test_stacked_conflict_entries_match_per_chain_matrices(self):
+        """The ``(..., P, P)`` form the batched engine writes equals
+        each chain's own matrix, bit for bit."""
+        cases = [(ChainType.LU, 4, 0), (ChainType.DUC, 3, 2),
+                 (ChainType.DUS, 5, 0)]
+        conflicts = [ConflictProbabilities(0.3, 0.1, 0.07),
+                     ConflictProbabilities(0.05, 0.6, 0.2)]
+        stack = np.array([[transition_matrix(c, loc, r, 3.7)
+                           for c, loc, r in cases]] * len(conflicts))
+        set_conflict_entries(
+            stack,
+            np.array([[k.blocking] * 3 for k in conflicts]),
+            np.array([[k.deadlock_victim] * 3 for k in conflicts]),
+            np.array([[k.remote_abort] * 3 for k in conflicts]),
+            np.array([False, True, True]))
+        for a, k in enumerate(conflicts):
+            for m, (c, loc, r) in enumerate(cases):
+                expected = transition_matrix(c, loc, r, 3.7, k)
+                assert stack[a, m].tobytes() == expected.tobytes()
 
     def test_rejects_bad_configurations(self):
         with pytest.raises(ConfigurationError):
