@@ -19,8 +19,8 @@ order (a monotonically increasing sequence number breaks time ties).
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+import math
+from heapq import heappop, heappush
 from collections.abc import Generator, Iterable
 from typing import Any
 
@@ -62,30 +62,43 @@ class Event:
             self._waiters.append(process)
 
 
-@dataclass(frozen=True)
 class Timeout:
     """Yieldable: suspend the process for ``delay`` time units."""
 
-    delay: float
+    __slots__ = ("delay",)
 
-    def __post_init__(self) -> None:
-        if self.delay < 0:
-            raise SimulationError(f"negative timeout {self.delay}")
+    def __init__(self, delay: float):
+        if delay < 0:
+            raise SimulationError(f"negative timeout {delay}")
+        self.delay = delay
+
+    def __repr__(self) -> str:
+        return f"Timeout({self.delay!r})"
 
 
-@dataclass(frozen=True)
 class Wait:
     """Yieldable: suspend until ``event`` fires."""
 
-    event: Event
+    __slots__ = ("event",)
+
+    def __init__(self, event: Event):
+        self.event = event
+
+    def __repr__(self) -> str:
+        return f"Wait({self.event!r})"
 
 
-@dataclass(frozen=True)
 class Fork:
     """Yieldable: start a child process; resumes immediately with its
     :class:`Process` handle."""
 
-    generator: Generator
+    __slots__ = ("generator",)
+
+    def __init__(self, generator: Generator):
+        self.generator = generator
+
+    def __repr__(self) -> str:
+        return f"Fork({self.generator!r})"
 
 
 class Process:
@@ -102,14 +115,6 @@ class Process:
         self.completion = Event(sim)
 
 
-@dataclass(order=True)
-class _Scheduled:
-    time: float
-    seq: int
-    process: Process = field(compare=False)
-    payload: Any = field(compare=False, default=None)
-
-
 class Simulator:
     """The event loop.
 
@@ -122,7 +127,9 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: list[_Scheduled] = []
+        #: ``(time, seq, process, payload)`` entries; ``seq`` is unique,
+        #: so ties never reach the process.
+        self._heap: list[tuple[float, int, Process, Any]] = []
         self._seq = 0
         self._steps = 0
 
@@ -145,8 +152,7 @@ class Simulator:
                 f"cannot schedule into the past ({time} < {self.now})"
             )
         self._seq += 1
-        heapq.heappush(self._heap, _Scheduled(time, self._seq, process,
-                                              payload))
+        heappush(self._heap, (time, self._seq, process, payload))
 
     # -- main loop ----------------------------------------------------------
 
@@ -163,52 +169,63 @@ class Simulator:
             Safety budget on processed events;
             :class:`~repro.errors.SimulationError` when exceeded.
         """
-        while self._heap:
-            if until is not None and self._heap[0].time > until:
-                self.now = until
+        heap = self._heap
+        pop = heappop
+        step = self._step
+        horizon = math.inf if until is None else until
+        budget = math.inf if max_steps is None else max_steps
+        while heap:
+            if heap[0][0] > horizon:
+                self.now = horizon
                 return
-            item = heapq.heappop(self._heap)
-            self.now = item.time
+            time, _, process, payload = pop(heap)
+            self.now = time
             self._steps += 1
-            if max_steps is not None and self._steps > max_steps:
+            if self._steps > budget:
                 raise SimulationError(
                     f"simulation exceeded {max_steps} steps"
                 )
-            self._step(item.process, item.payload)
+            step(process, payload)
         if until is not None:
             self.now = until
 
     def _step(self, process: Process, payload: Any) -> None:
         if process.done:
             return
+        send = process.generator.send
         try:
-            command = process.generator.send(payload)
+            command = send(payload)
         except StopIteration as stop:
-            process.done = True
-            process.result = stop.value
-            process.completion.fire(stop.value)
+            self._finish(process, stop.value)
             return
         while True:
-            if isinstance(command, Timeout):
-                self._schedule(self.now + command.delay, process, None)
+            kind = type(command)
+            if kind is Timeout:
+                self._seq += 1
+                heappush(self._heap, (self.now + command.delay, self._seq,
+                                      process, None))
                 return
-            if isinstance(command, Wait):
+            if kind is Wait:
                 command.event.add_waiter(process)
                 return
-            if isinstance(command, Fork):
+            if kind is Fork:
                 child = self.spawn(command.generator)
                 try:
-                    command = process.generator.send(child)
+                    command = send(child)
                 except StopIteration as stop:
-                    process.done = True
-                    process.result = stop.value
-                    process.completion.fire(stop.value)
+                    self._finish(process, stop.value)
                     return
                 continue
             raise SimulationError(
                 f"process {process.name!r} yielded {command!r}; expected "
                 f"Timeout, Wait, or Fork"
             )
+
+    @staticmethod
+    def _finish(process: Process, result: Any) -> None:
+        process.done = True
+        process.result = result
+        process.completion.fire(result)
 
 
 def run_all(sim: Simulator, generators: Iterable[Generator],

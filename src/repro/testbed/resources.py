@@ -18,6 +18,11 @@ from repro.testbed.des import Event, Simulator, Timeout, Wait
 
 __all__ = ["FcfsResource", "CountingPool", "Mailbox"]
 
+#: The one zero-delay step shared by every uncontended request: it
+#: costs one sequence number and one step at the current time, exactly
+#: what firing a fresh grant event and waiting on it used to cost.
+_NOW = Timeout(0.0)
+
 
 class FcfsResource:
     """A single exponential-or-deterministic server with a FIFO queue.
@@ -50,8 +55,7 @@ class FcfsResource:
         """Queue for the server, hold it for *duration*, release it."""
         if duration < 0:
             raise SimulationError(f"negative service time {duration}")
-        grant = self._request()
-        yield Wait(grant)
+        yield self._request()
         yield Timeout(duration)
         self._release()
 
@@ -61,22 +65,26 @@ class FcfsResource:
         For critical sections that interleave other waits while holding
         the resource (e.g. the TM server force-writing a log record).
         """
-        grant = self._request()
-        yield Wait(grant)
+        yield self._request()
 
     def release(self) -> None:
         """Release a hold taken with :meth:`acquire`."""
         self._release()
 
-    def _request(self) -> Event:
-        grant = self.sim.event()
-        if not self._busy and not self._queue:
-            self._busy = True
-            self._busy_since = self.sim.now
-            grant.fire()
-        else:
+    def _request(self) -> Timeout | Wait:
+        """The command that waits for the server.
+
+        An idle server with nobody queued is taken at once, and the
+        caller resumes after the shared zero-delay step; otherwise it
+        joins the FIFO queue and waits for its grant.
+        """
+        if self._busy or self._queue:
+            grant = Event(self.sim)
             self._queue.append(grant)
-        return grant
+            return Wait(grant)
+        self._busy = True
+        self._busy_since = self.sim.now
+        return _NOW
 
     def _release(self) -> None:
         if not self._busy:
@@ -135,7 +143,7 @@ class CountingPool:
         """Take one server; blocks while none are free."""
         if self._in_use < self.size and not self._waiters:
             self._grant()
-            yield Timeout(0.0)
+            yield _NOW
             return
         self.wait_count += 1
         waiter = self.sim.event()
@@ -191,7 +199,7 @@ class Mailbox:
             # Yield a zero timeout so receive always costs one
             # scheduling step; keeps FIFO fairness among receivers.
             message = self._messages.popleft()
-            yield Timeout(0.0)
+            yield _NOW
             return message
         receiver = self.sim.event()
         self._receivers.append(receiver)
