@@ -88,8 +88,11 @@ class GlobalDetector:
         initiator exists (only cycles spanning >1 site reach here —
         single-site cycles are refused synchronously by the lock
         manager)."""
+        # Blockers come back as a set of txn-id strings; walk them in
+        # sorted order so probe CPU and hop timing do not follow the
+        # interpreter's string hashing.
         visited: set[str] = {initiator}
-        frontier = list(start_node.locks.blockers(initiator))
+        frontier = sorted(start_node.locks.blockers(initiator))
         current_site = start_node.name
         while frontier:
             txn_id = frontier.pop()
@@ -118,7 +121,7 @@ class GlobalDetector:
                     current_site = site
                 self.probes_sent += 1
                 yield from node.cpu.use(self.probe_cpu_ms)
-                for blocker in node.locks.blockers(txn_id):
+                for blocker in sorted(node.locks.blockers(txn_id)):
                     if blocker == initiator:
                         return True
                     if blocker not in visited:
