@@ -11,7 +11,8 @@ twice (cold, then warm) and records, per experiment:
 * total Schweitzer inner iterations, and
 * cache hit/miss counts and the hit rate of the batch.
 
-It also times the MVA kernels (``BENCH_kernels.json``).  Every
+It also times the MVA kernels (``BENCH_kernels.json``) and the
+simulator's event loop (``BENCH_sim.json``).  Every
 producer — this suite, ``benchmarks/outer_bench.py`` and the
 ``CARAT_BENCH_EMIT`` pytest hook — writes the same
 :class:`BenchRecord`, and one comparator gates every record against
@@ -51,6 +52,7 @@ __all__ = [
     "main",
     "run",
     "run_kernel_bench",
+    "run_sim_bench",
     "run_suite",
     "write_records",
 ]
@@ -60,6 +62,11 @@ BENCH_SCHEMA = 2
 
 #: Batch size of the kernel microbenchmark's stacked-grid solve.
 KERNEL_BATCH = 64
+
+#: Simulator benchmark run: MB8 at n=8, seed 1, warm-up and measured
+#: window in simulated ms.
+SIM_N = 8
+SIM_WINDOW_MS = (10_000.0, 120_000.0)
 
 #: Experiments benchmarked by the suite: one per figure/table family
 #: (fig5 covers the LB8 sweep behind Figures 5-7, fig8 the MB4 sweep
@@ -98,6 +105,8 @@ GATES: dict[str, Gate] = {
     "single_exact_us": _WALL,
     "single_approx_us": _WALL,
     "batch_per_solve_us": _WALL,
+    "sim_events_per_commit": _COUNTER,
+    "sim_wall_ms": _WALL,
     "batch_speedup": _SPEEDUP,
     "speedup": _SPEEDUP,
 }
@@ -271,6 +280,52 @@ def run_kernel_bench(batch: int = KERNEL_BATCH, repeats: int = 3) -> BenchRecord
     return BenchRecord("kernels", metrics, {"batch_size": batch})
 
 
+def run_sim_bench(repeats: int = 3) -> BenchRecord:
+    """Time the simulator's event loop on one MB8 n=8 run.
+
+    The run is a pure function of its configuration and seed, so the
+    event and commit counts are deterministic counters; the wall time
+    takes the best of *repeats* identical runs.
+    """
+    from repro.model.parameters import paper_sites
+    from repro.model.workload import mb8
+    from repro.testbed.system import CaratSimulation, SimulationConfig
+
+    warmup_ms, duration_ms = SIM_WINDOW_MS
+    config = SimulationConfig(
+        workload=mb8(SIM_N),
+        sites=paper_sites(),
+        seed=1,
+        warmup_ms=warmup_ms,
+        duration_ms=duration_ms,
+    )
+    best_ms = float("inf")
+    for _ in range(max(1, repeats)):
+        simulation = CaratSimulation(config)
+        t0 = time.perf_counter()
+        measurement = simulation.run()
+        best_ms = min(best_ms, (time.perf_counter() - t0) * 1e3)
+    events = simulation.sim._steps
+    commits = sum(
+        sum(site.commits_by_type.values()) for site in measurement.sites.values()
+    )
+    metrics = {
+        "sim_events": events,
+        "sim_commits": commits,
+        "sim_events_per_commit": events / commits,
+        "sim_wall_ms": best_ms,
+        "sim_events_per_s": events / (best_ms / 1e3),
+    }
+    detail = {
+        "workload": "MB8",
+        "n": SIM_N,
+        "seed": 1,
+        "warmup_ms": warmup_ms,
+        "duration_ms": duration_ms,
+    }
+    return BenchRecord("sim", metrics, detail)
+
+
 def write_records(
     records: list[BenchRecord], directory: str | os.PathLike
 ) -> list[Path]:
@@ -438,8 +493,9 @@ def gate_records(records: list[BenchRecord], args: argparse.Namespace) -> int:
 
 
 def run(args: argparse.Namespace) -> int:
-    """Run the suite and the kernel microbenchmark, then gate them."""
-    return gate_records(run_suite() + [run_kernel_bench()], args)
+    """Run the suite, the kernel microbenchmark and the simulator
+    benchmark, then gate them."""
+    return gate_records(run_suite() + [run_kernel_bench(), run_sim_bench()], args)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,6 +1,7 @@
 """Tests for the one benchmark record and regression gate
-(:mod:`repro.experiments.perf`) and its three producers: the perf
-suite and kernel microbenchmark, the outer fixed-point benchmark
+(:mod:`repro.experiments.perf`) and its producers: the perf suite,
+the kernel microbenchmark and the simulator benchmark, the outer
+fixed-point benchmark
 (``benchmarks/outer_bench.py``) and the ``CARAT_BENCH_EMIT`` pytest
 hook (``benchmarks/conftest.py``).
 """
@@ -18,8 +19,8 @@ from repro.experiments import cache as cache_mod
 from repro.experiments import perf as perf_mod
 from repro.experiments.perf import (BENCH_SCHEMA, GATES, BenchRecord,
                                     compare_records, load_records,
-                                    run_kernel_bench, run_suite,
-                                    write_records)
+                                    run_kernel_bench, run_sim_bench,
+                                    run_suite, write_records)
 
 BASELINES = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
 
@@ -45,6 +46,15 @@ def _kernels(**metrics):
                 batch_us=8_000.0, batch_per_solve_us=125.0,
                 batch_speedup=12.0)
     return BenchRecord("kernels", {**base, **metrics}, {"batch_size": 64})
+
+
+def _sim(**metrics):
+    base = dict(sim_events=60_000, sim_commits=100,
+                sim_events_per_commit=600.0, sim_wall_ms=400.0,
+                sim_events_per_s=150_000.0)
+    return BenchRecord("sim", {**base, **metrics},
+                       {"workload": "MB8", "n": 8, "seed": 1,
+                        "warmup_ms": 10_000.0, "duration_ms": 120_000.0})
 
 
 def _outer(**metrics):
@@ -226,6 +236,31 @@ class TestKernelBench(_ProducerRecord):
                          time_tolerance=0.01) == []
 
 
+class TestSimBench(_ProducerRecord):
+    make = staticmethod(_sim)
+
+    def test_run_sim_bench_populated(self):
+        record = run_sim_bench(repeats=1)
+        m = record.metrics
+        assert record.name == "sim"
+        assert record.detail["workload"] == "MB8"
+        assert m["sim_events"] > 0
+        assert m["sim_commits"] > 0
+        assert m["sim_events_per_commit"] == pytest.approx(
+            m["sim_events"] / m["sim_commits"])
+        assert m["sim_events_per_s"] == pytest.approx(
+            m["sim_events"] / m["sim_wall_ms"] * 1e3)
+
+    def test_compare_flags_more_events_per_commit(self):
+        changed = {"sim_events_per_commit": 800.0}
+        [problem] = _problems(_sim, changed, time_tolerance=10.0)
+        assert "sim_events_per_commit" in problem
+
+    def test_compare_flags_slow_event_loop(self):
+        [problem] = _problems(_sim, {"sim_wall_ms": 1_000.0})
+        assert "sim_wall_ms" in problem
+
+
 class TestOuterBench(_ProducerRecord):
     make = staticmethod(_outer)
 
@@ -283,6 +318,8 @@ class TestMain:
                             lambda *a, **kw: [_suite()])
         monkeypatch.setattr(perf_mod, "run_kernel_bench",
                             lambda *a, **kw: _kernels())
+        monkeypatch.setattr(perf_mod, "run_sim_bench",
+                            lambda *a, **kw: _sim())
         monkeypatch.setattr(outer_bench, "run_outer_bench",
                             lambda *a, **kw: _outer())
 
@@ -295,7 +332,7 @@ class TestMain:
         for main in (perf_mod.main, outer_bench.main):
             assert main(["--check", "--baseline-dir", baseline_dir]) == 0
         out = capsys.readouterr().out
-        assert "perf gate passed (2 baselines" in out
+        assert "perf gate passed (3 baselines" in out
         assert "perf gate passed (1 baselines" in out
         # Each entry point gates only its own records.
         assert "missing" not in out
@@ -309,7 +346,8 @@ class TestMain:
         out = tmp_path / "out"
         assert perf_mod.main(["--output-dir", str(out)]) == 0
         assert outer_bench.main(["--output-dir", str(out)]) == 0
-        assert set(load_records(out)) == {"fig5", "kernels", "outer"}
+        assert set(load_records(out)) == {"fig5", "kernels", "sim",
+                                          "outer"}
 
     @staticmethod
     def _check_after(tmp_path, monkeypatch, capsys, module, attr,
@@ -341,6 +379,14 @@ class TestMain:
         assert "batch_outer_iterations" in out
         assert "speedup" in out
 
+    def test_sim_regression_fails_check(self, tmp_path, monkeypatch,
+                                        capsys, canned_suite):
+        status, out = self._check_after(
+            tmp_path, monkeypatch, capsys, perf_mod, "run_sim_bench",
+            _sim(), _sim(sim_events_per_commit=900.0))
+        assert status == 1
+        assert "sim_events_per_commit" in out
+
     def test_zero_baseline_regression_fails_check(
             self, tmp_path, monkeypatch, capsys, canned_suite):
         status, out = self._check_after(
@@ -371,6 +417,14 @@ class TestMain:
         """The batched speedup the kernels were landed for."""
         record = load_records(BASELINES)["kernels"]
         assert record.metrics["batch_speedup"] >= 10.0
+
+    def test_committed_sim_baseline_loads(self):
+        """The simulator benchmark is gated from the committed record,
+        and its deterministic counters match a fresh run."""
+        record = load_records(BASELINES)["sim"]
+        fresh = run_sim_bench(repeats=1)
+        for metric in ("sim_events", "sim_commits"):
+            assert record.metrics[metric] == fresh.metrics[metric]
 
     def test_committed_outer_baseline_loads(self):
         """The >=3x batched-sweep speedup the tensorized outer loop
