@@ -34,6 +34,38 @@ class TestTimeouts:
         sim.run()
         assert log == ["a", "b", "c"]
 
+    def test_zero_delay_and_event_wakeup_resume_in_scheduling_order(self):
+        """A zero-delay Timeout and a wake-up by an event fired at the
+        same instant are ordered by when each was scheduled."""
+        sim = Simulator()
+        event = sim.event()
+        log = []
+
+        def waiter():
+            yield Wait(event)
+            log.append("woken")
+
+        def firer():
+            yield Timeout(1.0)
+            yield Timeout(0.0)
+            event.fire()               # after sleeper's first 0-step
+            yield Timeout(0.0)         # after the wake-up
+            log.append("firer")
+
+        def sleeper():
+            yield Timeout(1.0)
+            yield Timeout(0.0)
+            log.append("sleeper-1")
+            yield Timeout(0.0)         # after firer's last 0-step
+            log.append("sleeper-2")
+
+        sim.spawn(waiter())
+        sim.spawn(firer())
+        sim.spawn(sleeper())
+        sim.run()
+        assert log == ["sleeper-1", "woken", "firer", "sleeper-2"]
+        assert sim.now == 1.0
+
     def test_negative_timeout_rejected(self):
         with pytest.raises(SimulationError):
             Timeout(-1.0)
@@ -142,6 +174,21 @@ class TestForkAndCompletion:
         sim.spawn(parent())
         sim.run()
         assert log == ["parent-continues", "child", "result"]
+
+    def test_command_lookalike_raises(self):
+        """Only the command types themselves are dispatched: an object
+        that merely looks like a Timeout is rejected."""
+        sim = Simulator()
+
+        class Lookalike:
+            delay = 1.0
+
+        def proc():
+            yield Lookalike()
+
+        sim.spawn(proc())
+        with pytest.raises(SimulationError, match="expected"):
+            sim.run()
 
     def test_process_result_recorded(self):
         sim = Simulator()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.testbed.des import Simulator, Timeout
+from repro.testbed.des import Simulator, Timeout, Wait
 from repro.testbed.resources import CountingPool, FcfsResource, Mailbox
 
 
@@ -24,6 +24,73 @@ class TestFcfsResource:
         sim.run()
         assert log == [("first", 10.0), ("second", 20.0),
                        ("third", 30.0)]
+
+    def test_hand_over_keeps_server_busy(self):
+        """On release the head of the queue takes the server directly:
+        a request arriving at that instant queues behind it."""
+        sim = Simulator()
+        res = FcfsResource(sim, "cpu")
+        log = []
+
+        def late():
+            assert res.queue_length == 0
+            yield from res.use(10.0)
+            log.append(("late", sim.now))
+
+        def first():
+            yield from res.use(10.0)
+            log.append(("first", sim.now))
+            sim.spawn(late())
+
+        def second():
+            yield Timeout(1.0)
+            yield from res.use(10.0)
+            log.append(("second", sim.now))
+
+        sim.spawn(first())
+        sim.spawn(second())
+        sim.run()
+        assert log == [("first", 10.0), ("second", 20.0), ("late", 30.0)]
+        assert res.completions == 3
+
+    @staticmethod
+    def _idle_request_order(request):
+        """Event log of a process taking an idle server via *request*
+        while two others take zero-delay steps at the same instant."""
+        sim = Simulator()
+        log = []
+
+        def taker():
+            yield from request(sim)
+            log.append("served")
+
+        def stepper(name):
+            for i in range(3):
+                log.append(f"{name}{i}")
+                yield Timeout(0.0)
+
+        sim.spawn(taker())
+        sim.spawn(stepper("b"))
+        sim.spawn(stepper("c"))
+        sim.run()
+        return log
+
+    def test_idle_server_resumes_after_earlier_same_time_events(self):
+        """An uncontended request costs one step at the current time:
+        it resumes after the events scheduled before it, exactly where
+        a fired grant event used to resume it."""
+        def use(sim):
+            yield from FcfsResource(sim, "cpu").use(0.0)
+
+        def fired_grant(sim):
+            grant = sim.event()
+            grant.fire()
+            yield Wait(grant)
+            yield Timeout(0.0)
+
+        expected = ["b0", "c0", "b1", "c1", "served", "b2", "c2"]
+        assert self._idle_request_order(fired_grant) == expected
+        assert self._idle_request_order(use) == expected
 
     def test_utilization_accounting(self):
         sim = Simulator()
