@@ -72,9 +72,6 @@ class Timeout:
             raise SimulationError(f"negative timeout {delay}")
         self.delay = delay
 
-    def __repr__(self) -> str:
-        return f"Timeout({self.delay!r})"
-
 
 class Wait:
     """Yieldable: suspend until ``event`` fires."""
@@ -83,9 +80,6 @@ class Wait:
 
     def __init__(self, event: Event):
         self.event = event
-
-    def __repr__(self) -> str:
-        return f"Wait({self.event!r})"
 
 
 class Fork:
@@ -96,9 +90,6 @@ class Fork:
 
     def __init__(self, generator: Generator):
         self.generator = generator
-
-    def __repr__(self) -> str:
-        return f"Fork({self.generator!r})"
 
 
 class Process:

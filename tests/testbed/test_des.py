@@ -175,21 +175,6 @@ class TestForkAndCompletion:
         sim.run()
         assert log == ["parent-continues", "child", "result"]
 
-    def test_command_lookalike_raises(self):
-        """Only the command types themselves are dispatched: an object
-        that merely looks like a Timeout is rejected."""
-        sim = Simulator()
-
-        class Lookalike:
-            delay = 1.0
-
-        def proc():
-            yield Lookalike()
-
-        sim.spawn(proc())
-        with pytest.raises(SimulationError, match="expected"):
-            sim.run()
-
     def test_process_result_recorded(self):
         sim = Simulator()
 
@@ -203,14 +188,18 @@ class TestForkAndCompletion:
         assert handle.result == 99
 
     def test_invalid_yield_raises(self):
-        sim = Simulator()
+        class Lookalike:               # has a delay, but is no Timeout
+            delay = 1.0
 
-        def proc():
-            yield "garbage"
+        for bad in ("garbage", Lookalike()):
+            sim = Simulator()
 
-        sim.spawn(proc())
-        with pytest.raises(SimulationError):
-            sim.run()
+            def proc(bad=bad):
+                yield bad
+
+            sim.spawn(proc())
+            with pytest.raises(SimulationError, match="expected"):
+                sim.run()
 
     def test_determinism_under_replay(self):
         """Two identical simulations produce identical traces."""
